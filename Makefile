@@ -25,6 +25,7 @@ clippy:
 # and examples can never silently rot.
 check-extras:
 	cargo build --workspace --benches --examples
+	cargo build --release --manifest-path perfbench/Cargo.toml
 
 # A fast taste of the wall-clock benchmarks.
 bench-smoke:

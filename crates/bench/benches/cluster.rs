@@ -8,13 +8,14 @@
 //! Fits happen once in setup; the benches measure steady-state serving.
 
 use asdr_cluster::wire::{Message, WireRequest, WireResult};
-use asdr_cluster::{CostModel, HashRing, ShardRouter};
+use asdr_cluster::{CostModel, FleetConfig, HashRing, LocalFleet};
 use asdr_math::image::Image;
 use asdr_nerf::grid::GridConfig;
 use asdr_scenes::registry;
-use asdr_serve::{ModelStore, Priority, RenderProfile, RenderRequest};
+use asdr_serve::{ModelStore, Priority, RenderProfile, RenderRequest, RenderService};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::path::PathBuf;
+use std::sync::Arc;
 
 fn warm_profile() -> RenderProfile {
     RenderProfile { grid: GridConfig::tiny(), base_ns: 48, default_resolution: 24 }
@@ -108,12 +109,13 @@ fn bench_warm_burst(c: &mut Criterion) {
             store.get_or_fit(s, &profile.grid); // pay the fits in setup
         }
     }
-    let cluster = ShardRouter::builder(profile)
-        .shards(2)
-        .workers(1)
-        .store_dir(&dir)
-        .build()
-        .expect("valid cluster configuration");
+    let shard = || {
+        RenderService::builder(profile.clone())
+            .store(Arc::new(ModelStore::builder().dir(&dir).build()))
+            .workers(1)
+    };
+    let cluster =
+        LocalFleet::local(2, shard, FleetConfig::local()).expect("valid cluster configuration");
     let mut g = c.benchmark_group("cluster_burst_2shard_24x24");
     g.sample_size(10);
     g.bench_function("warm_6req", |b| {

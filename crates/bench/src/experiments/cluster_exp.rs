@@ -6,7 +6,7 @@
 //! harness).
 //!
 //! Both runs replay the identical workload through a 2-shard
-//! [`ShardRouter`] warmed from one checkpoint directory: per wave, every
+//! [`LocalFleet`] warmed from one checkpoint directory: per wave, every
 //! scene submits a burst of deadlined frames, with the deadline calibrated
 //! to 2.5× a measured warm single-frame latency — so a 1-worker shard
 //! serving a whole burst serially *must* miss its tail. The fixed run
@@ -19,10 +19,11 @@
 //! asserts the reduction.)
 
 use crate::{fmt_x, print_header, print_row, Harness};
-use asdr_cluster::{AutoscalerConfig, ShardRouter};
+use asdr_cluster::{AutoscalerConfig, FleetConfig, LocalFleet};
 use asdr_scenes::SceneHandle;
-use asdr_serve::{ModelStore, RenderProfile, RenderRequest};
+use asdr_serve::{ModelStore, RenderProfile, RenderRequest, RenderService};
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Deadlined requests per scene per wave. Three serial completions at
@@ -93,7 +94,7 @@ fn wave(scenes: &[SceneHandle], resolution: u32, deadline: Duration) -> Vec<Rend
         .collect()
 }
 
-fn replay(cluster: &ShardRouter, scenes: &[SceneHandle], resolution: u32, deadline: Duration) {
+fn replay(cluster: &LocalFleet, scenes: &[SceneHandle], resolution: u32, deadline: Duration) {
     for _ in 0..WAVES {
         let tickets: Vec<_> = wave(scenes, resolution, deadline)
             .into_iter()
@@ -129,10 +130,16 @@ pub fn run_cluster(h: &mut Harness, scenes: &[SceneHandle]) -> ClusterReport {
         }
     }
 
+    // one single-worker shard over its own store in the warm directory
+    let shard = || {
+        RenderService::builder(profile.clone())
+            .store(Arc::new(ModelStore::builder().dir(&dir).build()))
+            .workers(1)
+    };
+
     // calibrate the deadline against a measured warm single-frame latency
     let single_ms = {
-        let calib =
-            ShardRouter::builder(profile.clone()).shards(1).store_dir(&dir).build().unwrap();
+        let calib = LocalFleet::local(1, shard, FleetConfig::local()).unwrap();
         let t0 = Instant::now();
         calib
             .submit(RenderRequest::frame(scenes[0].clone(), resolution))
@@ -155,13 +162,9 @@ pub fn run_cluster(h: &mut Harness, scenes: &[SceneHandle]) -> ClusterReport {
     };
     let mut cost_error = 0.0;
     let mut run = |autoscale: bool| -> ClusterRun {
-        let mut builder = ShardRouter::builder(profile.clone()).shards(2).store_dir(&dir);
-        builder = if autoscale {
-            builder.autoscale(scaler.clone())
-        } else {
-            builder.workers(scaler.workers_min)
-        };
-        let cluster = builder.build().expect("valid cluster configuration");
+        let cfg =
+            FleetConfig { autoscale: autoscale.then(|| scaler.clone()), ..FleetConfig::local() };
+        let cluster = LocalFleet::local(2, shard, cfg).expect("valid cluster configuration");
         let t0 = Instant::now();
         replay(&cluster, scenes, resolution, deadline);
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;

@@ -1,14 +1,19 @@
-//! `asdr-cluster` — replays a workload trace through a sharded
-//! [`ShardRouter`] cluster and reports cluster statistics.
+//! `asdr-cluster` — replays a workload trace through the fleet router,
+//! over in-process shards or (`--remote`) `asdr-shardd` processes, and
+//! reports cluster statistics.
 //!
 //! ```text
 //! asdr-cluster (--workload FILE | --trace FILE | --synthetic SPEC)
 //!              [--shards N] [--scale tiny|small|paper]
 //!              [--workers N | --autoscale MIN:MAX] [--budget-ms X]
 //!              [--store-dir DIR | --no-store] [--queue N]
+//!              [--remote (spawn:N | ADDR[,ADDR...])] [--hedge-ms X]
 //!              [--speed X] [--record PATH]
 //!              [--out STATS.json] [--dump-images DIR] [--bundle DIR]
 //! ```
+//!
+//! Every routing flag applies to both kinds of shard: the budget, the
+//! autoscaler, and hedging (off by default in-process, 2 s remote).
 //!
 //! With `--bundle DIR` the process writes its own diagnostic run bundle
 //! to `DIR/cluster` (config snapshot, span capture, periodic stats
@@ -23,16 +28,18 @@
 //! admitted request as a binary trace. The process waits for every
 //! ticket, prints a per-request table (including which shard served it)
 //! plus a machine-readable `TRACE_RESULT` line, and writes the
-//! [`ClusterStats`] JSON to `--out` — the artifact the nightly
-//! `cluster-smoke` job uploads and greps for zero duplicate fits
-//! (`"total_fits"` equals the workload's distinct scene count cold, zero
-//! warm).
+//! [`ClusterStats`](asdr_cluster::ClusterStats) JSON to `--out` — the
+//! artifact the nightly `cluster-smoke` job uploads and greps for zero
+//! duplicate fits (`"total_fits"` equals the workload's distinct scene
+//! count cold, zero warm).
 
-use asdr_cluster::remote::{FleetConfig, RemoteFleet};
-use asdr_cluster::{AutoscalerConfig, ShardAddr, ShardRouter};
+use asdr_cluster::{
+    AutoscalerConfig, Fleet, FleetConfig, LocalFleet, RemoteFleet, Shard, ShardAddr,
+};
 use asdr_serve::flags::{self, die, positive_usize, value, ReplayFlags};
-use asdr_serve::RenderProfile;
+use asdr_serve::{ModelStore, RenderProfile, RenderService};
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Duration;
 
 struct Args {
@@ -138,12 +145,6 @@ fn parse_args() -> Args {
     if args.no_store && args.store_dir.is_some() {
         die("--no-store and --store-dir are mutually exclusive");
     }
-    if args.remote.is_none() && args.hedge_ms.is_some() {
-        die("--hedge-ms only applies to --remote fleets");
-    }
-    if args.remote.is_some() && (args.autoscale.is_some() || args.budget_ms.is_some()) {
-        die("--autoscale/--budget-ms apply to in-process shards, not --remote fleets");
-    }
     args
 }
 
@@ -168,7 +169,7 @@ fn spawn_shardds(n: usize, args: &Args) -> (Vec<std::process::Child>, Vec<ShardA
             .arg("--scale")
             .arg(&args.scale)
             .arg("--workers")
-            .arg(args.workers.to_string())
+            .arg(args.autoscale.map_or(args.workers, |(min, _)| min).to_string())
             .arg("--queue")
             .arg(args.queue.to_string())
             .arg("--shard-id")
@@ -212,43 +213,28 @@ fn spawn_shardds(n: usize, args: &Args) -> (Vec<std::process::Child>, Vec<ShardA
     (children, addrs)
 }
 
-/// Replays the workload against a remote shardd fleet.
-fn run_remote(
+/// Replays the workload through `fleet`, waits for every ticket, and
+/// reports: the per-request table, the stats summary, the `TRACE_RESULT`
+/// line, and the `--out`/bundle artifacts.
+fn replay_and_report<S: Shard>(
     args: &Args,
-    bundle: Option<&std::sync::Arc<asdr_obs::Bundle>>,
-    spec: &str,
+    bundle: Option<&Arc<asdr_obs::Bundle>>,
+    fleet: &Fleet<S>,
+    shape: &str,
     source: &mut dyn asdr_serve::TraceSource,
     input_name: &str,
 ) {
-    let (mut children, addrs) = match spec.strip_prefix("spawn:") {
-        Some(n) => spawn_shardds(positive_usize("--remote spawn", n), args),
-        None => {
-            let addrs: Vec<ShardAddr> = spec
-                .split(',')
-                .map(|s| ShardAddr::parse(s.trim()).unwrap_or_else(|e| die(&e)))
-                .collect();
-            (Vec::new(), addrs)
-        }
-    };
-    let mut cfg = FleetConfig::default();
-    if let Some(ms) = args.hedge_ms {
-        cfg.hedge_after = Some(Duration::from_secs_f64(ms / 1e3));
-    }
-    let fleet =
-        RemoteFleet::connect(addrs.clone(), args.profile.clone(), cfg).unwrap_or_else(|e| die(&e));
     println!(
-        "# asdr-cluster: {} requests over {} remote shards ({}), store {}",
+        "# asdr-cluster: {} requests over {} shards ({shape}), store {}",
         source.len_hint().map_or_else(|| "streamed".to_string(), |n| n.to_string()),
         fleet.shards(),
-        addrs.iter().map(|a| a.to_string()).collect::<Vec<_>>().join(", "),
         args.store_dir.as_ref().map_or("in-memory".to_string(), |d| d.display().to_string()),
     );
-
     let driver = args.replay.driver(args.profile.clone());
     if let Some(b) = bundle {
         b.stage("replaying");
     }
-    let replay = driver.run(source, &fleet).unwrap_or_else(|e| die(&format!("{input_name}: {e}")));
+    let replay = driver.run(source, fleet).unwrap_or_else(|e| die(&format!("{input_name}: {e}")));
     if replay.requests.is_empty() {
         die("trace holds no requests");
     }
@@ -294,172 +280,6 @@ fn run_remote(
     }
     let stats = fleet.shutdown();
     println!(
-        "\n{} requests, {} frames over {} remote shards ({} home, {} spilled)",
-        stats.requests(),
-        stats.frames(),
-        stats.shards.len(),
-        stats.routed_home,
-        stats.spilled,
-    );
-    let fl = &stats.fleet;
-    println!(
-        "fleet: {} evictions, {} rejoins, {} hedges ({} won, {} cancelled), {} failovers, {} re-warms",
-        fl.evictions, fl.rejoins, fl.hedges, fl.hedge_wins, fl.hedge_cancels, fl.failovers, fl.rewarms,
-    );
-    for s in &stats.shards {
-        println!(
-            "shard {}: {} workers, {} req, {:.2} fps, p50 {:.1} ms / p95 {:.1} ms, {} fits, {} disk hits",
-            s.shard,
-            s.workers,
-            s.serve.requests,
-            s.serve.throughput_fps,
-            s.serve.p50_latency_ms,
-            s.serve.p95_latency_ms,
-            s.serve.store.fits,
-            s.serve.store.disk_hits,
-        );
-    }
-    println!(
-        "{}",
-        measurements.trace_result_line(wall, replay.plan.as_ref()).unwrap_or_else(|e| die(&e))
-    );
-    if let Some(out) = &args.out {
-        if let Some(parent) = out.parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        std::fs::write(out, stats.to_json())
-            .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", out.display())));
-        println!("stats written to {}", out.display());
-    }
-    if let Some(b) = bundle {
-        b.finish(Some(&stats.to_json()));
-    }
-    // spawned daemons were asked to drain by fleet.shutdown(); give each a
-    // moment to exit on its own before forcing the issue
-    for child in &mut children {
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        loop {
-            match child.try_wait() {
-                Ok(Some(_)) => break,
-                Ok(None) if std::time::Instant::now() < deadline => {
-                    std::thread::sleep(Duration::from_millis(25));
-                }
-                _ => {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    break;
-                }
-            }
-        }
-    }
-}
-
-fn main() {
-    let args = parse_args();
-    let bundle = args.bundle.as_ref().map(|root| {
-        let config = [
-            ("scale", args.scale.clone()),
-            ("shards", args.shards.to_string()),
-            ("workers", args.workers.to_string()),
-            ("remote", args.remote.clone().unwrap_or_else(|| "in-process".to_string())),
-        ];
-        let b = asdr_obs::Bundle::create(&root.join("cluster"), "cluster", &config)
-            .unwrap_or_else(|e| die(&format!("cannot create bundle {}: {e}", root.display())));
-        b.activate();
-        b
-    });
-    let input = args.replay.input.clone().expect("checked in parse_args");
-    let mut source = input.open().unwrap_or_else(|e| die(&e));
-    if source.len_hint() == Some(0) {
-        die("workload file holds no requests");
-    }
-    if let Some(spec) = args.remote.clone() {
-        run_remote(&args, bundle.as_ref(), &spec, source.as_mut(), &input.describe());
-        return;
-    }
-
-    let mut builder =
-        ShardRouter::builder(args.profile.clone()).shards(args.shards).queue_capacity(args.queue);
-    if let Some(dir) = &args.store_dir {
-        builder = builder.store_dir(dir);
-    } else if args.no_store {
-        builder = builder.in_memory_stores();
-    }
-    if let Some(ms) = args.budget_ms {
-        builder = builder.budget_ms(ms);
-    }
-    builder = match args.autoscale {
-        Some((min, max)) => builder.autoscale(AutoscalerConfig {
-            workers_min: min,
-            workers_max: max,
-            ..AutoscalerConfig::default()
-        }),
-        None => builder.workers(args.workers),
-    };
-    let cluster = builder.build().unwrap_or_else(|e| die(&e));
-    println!(
-        "# asdr-cluster: {} requests over {} shards ({}), store {}",
-        source.len_hint().map_or_else(|| "streamed".to_string(), |n| n.to_string()),
-        cluster.shards(),
-        match args.autoscale {
-            Some((min, max)) => format!("autoscale {min}:{max} workers/shard"),
-            None => format!("{} workers/shard", args.workers),
-        },
-        args.store_dir.as_ref().map_or("in-memory".to_string(), |d| d.display().to_string()),
-    );
-
-    let driver = args.replay.driver(args.profile.clone());
-    if let Some(b) = &bundle {
-        b.stage("replaying");
-    }
-    let replay = driver
-        .run(source.as_mut(), &cluster)
-        .unwrap_or_else(|e| die(&format!("{}: {e}", input.describe())));
-    if replay.requests.is_empty() {
-        die("trace holds no requests");
-    }
-
-    let mut measurements = flags::ReplayMeasurements::default();
-    let mut last_sample = std::time::Instant::now();
-    println!("| req | scene | shard | frames | queue ms | latency ms | deadline |");
-    println!("|---|---|---|---|---|---|---|");
-    for req in &replay.requests {
-        let r = req
-            .ticket
-            .wait()
-            .unwrap_or_else(|e| die(&format!("request {} ({}): {e}", req.index, req.scene)));
-        println!(
-            "| {} | {} | {} | {} | {:.1} | {:.1} | {} |",
-            req.index,
-            req.scene,
-            req.ticket.shard(),
-            r.images.len(),
-            r.queue_wait.as_secs_f64() * 1e3,
-            r.latency.as_secs_f64() * 1e3,
-            match r.deadline_met {
-                Some(true) => "met",
-                Some(false) => "MISSED",
-                None => "-",
-            },
-        );
-        measurements.push(req.window, req.deadlined, r.deadline_met == Some(false), r.images.len());
-        if let Some(dir) = &args.dump_images {
-            flags::dump_frames(dir, req.index, &r.images);
-        }
-        if let Some(b) = &bundle {
-            if last_sample.elapsed() >= Duration::from_secs(1) {
-                last_sample = std::time::Instant::now();
-                b.stats_sample("replay", &cluster.stats().to_json());
-            }
-        }
-    }
-    let wall = replay.started.elapsed();
-
-    if let Some(b) = &bundle {
-        b.stage("shutdown");
-    }
-    let stats = cluster.shutdown();
-    println!(
         "\n{} requests, {} frames over {} shards ({} home, {} spilled, {} rejected)",
         stats.requests(),
         stats.frames(),
@@ -467,6 +287,11 @@ fn main() {
         stats.routed_home,
         stats.spilled,
         stats.rejected,
+    );
+    let fl = &stats.fleet;
+    println!(
+        "fleet: {} evictions, {} rejoins, {} hedges ({} won, {} cancelled), {} failovers, {} re-warms",
+        fl.evictions, fl.rejoins, fl.hedges, fl.hedge_wins, fl.hedge_cancels, fl.failovers, fl.rewarms,
     );
     for s in &stats.shards {
         println!(
@@ -523,7 +348,103 @@ fn main() {
             .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", out.display())));
         println!("stats written to {}", out.display());
     }
-    if let Some(b) = &bundle {
+    if let Some(b) = bundle {
         b.finish(Some(&stats.to_json()));
+    }
+}
+
+/// Waits for spawned daemons (asked to drain by the fleet's shutdown) to
+/// exit on their own, killing any that outstay the grace period.
+fn reap(children: &mut [std::process::Child]) {
+    for child in children {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        loop {
+            match child.try_wait() {
+                Ok(Some(_)) => break,
+                Ok(None) if std::time::Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_millis(25));
+                }
+                _ => {
+                    let _ = child.kill();
+                    let _ = child.wait();
+                    break;
+                }
+            }
+        }
+    }
+}
+
+fn main() {
+    let args = parse_args();
+    let bundle = args.bundle.as_ref().map(|root| {
+        let config = [
+            ("scale", args.scale.clone()),
+            ("shards", args.shards.to_string()),
+            ("workers", args.workers.to_string()),
+            ("remote", args.remote.clone().unwrap_or_else(|| "in-process".to_string())),
+        ];
+        let b = asdr_obs::Bundle::create(&root.join("cluster"), "cluster", &config)
+            .unwrap_or_else(|e| die(&format!("cannot create bundle {}: {e}", root.display())));
+        b.activate();
+        b
+    });
+    let input = args.replay.input.clone().expect("checked in parse_args");
+    let mut source = input.open().unwrap_or_else(|e| die(&e));
+    if source.len_hint() == Some(0) {
+        die("workload file holds no requests");
+    }
+    let mut cfg = if args.remote.is_some() { FleetConfig::default() } else { FleetConfig::local() };
+    if let Some(ms) = args.hedge_ms {
+        cfg.hedge_after = Some(Duration::from_secs_f64(ms / 1e3));
+    }
+    if let Some(ms) = args.budget_ms {
+        cfg.budget_ms = ms;
+    }
+    cfg.autoscale = args.autoscale.map(|(min, max)| AutoscalerConfig {
+        workers_min: min,
+        workers_max: max,
+        ..AutoscalerConfig::default()
+    });
+    let pool = match args.autoscale {
+        Some((min, max)) => format!("autoscale {min}:{max} workers/shard"),
+        None => format!("{} workers/shard", args.workers),
+    };
+    let (bundle, name) = (bundle.as_ref(), input.describe());
+    match &args.remote {
+        Some(spec) => {
+            let (mut children, addrs) = match spec.strip_prefix("spawn:") {
+                Some(n) => spawn_shardds(positive_usize("--remote spawn", n), &args),
+                None => {
+                    let addrs = spec
+                        .split(',')
+                        .map(|s| ShardAddr::parse(s.trim()).unwrap_or_else(|e| die(&e)))
+                        .collect();
+                    (Vec::new(), addrs)
+                }
+            };
+            let shape = addrs.iter().map(|a| a.to_string()).collect::<Vec<_>>().join(", ");
+            let fleet =
+                RemoteFleet::connect(addrs, args.profile.clone(), cfg).unwrap_or_else(|e| die(&e));
+            replay_and_report(&args, bundle, &fleet, &shape, source.as_mut(), &name);
+            reap(&mut children);
+        }
+        None => {
+            // one store per shard over the shared directory: the lock
+            // files deduplicate fits across shards as across processes
+            let service = || {
+                let mut store = ModelStore::builder();
+                if let Some(dir) = &args.store_dir {
+                    store = store.dir(dir);
+                } else if args.no_store {
+                    store = store.in_memory_only();
+                }
+                RenderService::builder(args.profile.clone())
+                    .store(Arc::new(store.build()))
+                    .workers(args.workers)
+                    .queue_capacity(args.queue)
+            };
+            let fleet = LocalFleet::local(args.shards, service, cfg).unwrap_or_else(|e| die(&e));
+            replay_and_report(&args, bundle, &fleet, &pool, source.as_mut(), &name);
+        }
     }
 }

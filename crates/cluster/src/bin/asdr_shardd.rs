@@ -1,5 +1,5 @@
 //! `asdr-shardd` — one shard of the remote fleet: a single
-//! [`RenderService`] + [`ModelStore`](asdr_serve::ModelStore) per
+//! [`LocalShard`] (one `RenderService` over its own `ModelStore`) per
 //! process, answering the fleet wire protocol (`asdr_cluster::wire`)
 //! over a Unix or TCP socket.
 //!
@@ -27,9 +27,10 @@
 //! health checks and hedging exist to absorb.
 
 use asdr_cluster::net::{Listener, ShardAddr, Stream};
-use asdr_cluster::wire::{self, Message, WireResult, WireStats};
+use asdr_cluster::wire::{self, Message};
+use asdr_cluster::{LocalShard, Shard, ShardError};
 use asdr_serve::flags::{die, positive_usize, value};
-use asdr_serve::{ModelStore, RenderProfile, RenderService, ServeError};
+use asdr_serve::{ModelStore, RenderProfile, RenderService};
 use std::collections::HashSet;
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -186,7 +187,7 @@ fn send(writer: &Mutex<Stream>, msg: &Message) {
 /// Serves one connection until EOF, protocol error, or drain.
 fn serve_connection(
     stream: Stream,
-    service: &Arc<RenderService>,
+    shard: &Arc<LocalShard>,
     shard_id: u64,
     responders: &Arc<WaitGroup>,
 ) {
@@ -216,92 +217,81 @@ fn serve_connection(
                 send(&writer, &Message::HelloOk { shard: shard_id });
             }
             Message::Submit { id, req } => {
-                let resolved = match req.to_request() {
-                    Ok(r) => r,
-                    Err(why) => {
+                // budget bookkeeping is the router's, so nothing to run on
+                // completion here; a draining shard refuses as retryable —
+                // it is transient to the fleet and will be routed around
+                let admitted = req
+                    .to_request()
+                    .map_err(|why| ShardError::Refused { retryable: false, why })
+                    .and_then(|r| shard.submit(&r, Duration::ZERO, Box::new(|_| {})));
+                let ticket = match admitted {
+                    Ok(ticket) => ticket,
+                    Err(ShardError::Refused { retryable, why }) => {
+                        send(&writer, &Message::Refused { id, retryable, why });
+                        continue;
+                    }
+                    Err(e) => {
+                        let why = e.to_string();
                         send(&writer, &Message::Refused { id, retryable: false, why });
                         continue;
                     }
                 };
-                match service.submit(resolved) {
-                    Ok(ticket) => {
-                        send(&writer, &Message::Submitted { id });
-                        let writer = writer.clone();
-                        let cancelled = cancelled.clone();
-                        let guard = responders.enter();
-                        std::thread::spawn(move || {
-                            let _guard = guard;
-                            let reply = match ticket.wait() {
-                                Ok(result) => {
-                                    Message::Result { id, result: WireResult::from_result(&result) }
-                                }
-                                Err(e) => Message::Failed { id, why: e.to_string() },
-                            };
-                            if cancelled.lock().unwrap().remove(&id) {
-                                return; // a hedge won elsewhere; drop the reply
-                            }
-                            send(&writer, &reply);
-                        });
+                send(&writer, &Message::Submitted { id });
+                let writer = writer.clone();
+                let cancelled = cancelled.clone();
+                let guard = responders.enter();
+                std::thread::spawn(move || {
+                    let _guard = guard;
+                    let reply = match ticket.wait() {
+                        Ok(result) => Message::Result { id, result },
+                        Err(e) => Message::Failed { id, why: e.to_string() },
+                    };
+                    if cancelled.lock().unwrap().remove(&id) {
+                        return; // a hedge won elsewhere; drop the reply
                     }
-                    // a draining shard is transient to the fleet: it will
-                    // close this socket shortly and be routed around
-                    Err(e @ (ServeError::QueueFull { .. } | ServeError::ShuttingDown)) => {
-                        send(
-                            &writer,
-                            &Message::Refused { id, retryable: true, why: e.to_string() },
-                        );
-                    }
-                    Err(e) => {
-                        send(
-                            &writer,
-                            &Message::Refused { id, retryable: false, why: e.to_string() },
-                        );
-                    }
-                }
+                    send(&writer, &reply);
+                });
             }
             Message::Cancel { id } => {
                 cancelled.lock().unwrap().insert(id);
             }
             Message::StatsPoll { id } => {
-                let stats = WireStats {
-                    workers: service.workers() as u64,
-                    queue_len: service.queue_len() as u64,
-                    serve: service.stats(),
-                };
-                send(&writer, &Message::Stats { id, stats });
+                if let Ok(stats) = shard.stats(Duration::ZERO) {
+                    send(&writer, &Message::Stats { id, stats });
+                }
             }
             Message::Health { id } => {
                 send(
                     &writer,
                     &Message::HealthOk {
                         id,
-                        queue_len: service.queue_len() as u64,
+                        queue_len: shard.service().queue_len() as u64,
                         draining: DRAIN.load(Ordering::SeqCst),
                     },
                 );
             }
             Message::Prewarm { id, scene } => {
                 let writer = writer.clone();
-                let service = service.clone();
+                let shard = shard.clone();
                 let guard = responders.enter();
                 std::thread::spawn(move || {
                     let _guard = guard;
-                    let ok = match asdr_scenes::registry::get(&scene) {
-                        Some(handle) => {
-                            // the fit/load itself is the warm-up; the store's
-                            // cross-process lock keeps it deduplicated
-                            let _model =
-                                service.store().get_or_fit(&handle, &service.profile().grid);
-                            true
-                        }
-                        None => false,
-                    };
+                    // the store's cross-process lock keeps the warm-up fit
+                    // deduplicated
+                    let ok = matches!(shard.prewarm(&scene, Duration::ZERO), Ok(true));
                     send(&writer, &Message::Warmed { id, ok });
                 });
             }
             Message::Drain { id } => {
                 send(&writer, &Message::Draining { id });
                 DRAIN.store(true, Ordering::SeqCst);
+            }
+            Message::SetWorkers { id, workers } => {
+                // the decoder bounds `workers`, so a peer cannot ask for
+                // an unbounded number of threads
+                if let Ok(previous) = shard.set_workers(workers as usize, Duration::ZERO) {
+                    send(&writer, &Message::WorkersSet { id, previous: previous as u64 });
+                }
             }
             // server-to-client kinds arriving here are a peer bug; skip them
             // rather than killing a connection carrying in-flight work
@@ -343,14 +333,11 @@ fn main() {
     } else if args.no_store {
         store = store.in_memory_only();
     }
-    let service = Arc::new(
-        RenderService::builder(args.profile.clone())
-            .store(Arc::new(store.build()))
-            .workers(args.workers)
-            .queue_capacity(args.queue)
-            .build()
-            .unwrap_or_else(|e| die(&e)),
-    );
+    let service = RenderService::builder(args.profile.clone())
+        .store(Arc::new(store.build()))
+        .workers(args.workers)
+        .queue_capacity(args.queue);
+    let shard = Arc::new(LocalShard::new(service).unwrap_or_else(|e| die(&e)));
 
     let (listener, actual) = Listener::bind(&args.listen)
         .unwrap_or_else(|e| die(&format!("cannot bind {}: {e}", args.listen)));
@@ -367,11 +354,11 @@ fn main() {
     while !DRAIN.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok(stream) => {
-                let service = service.clone();
+                let shard = shard.clone();
                 let responders = responders.clone();
                 let shard_id = args.shard_id;
                 connections.push(std::thread::spawn(move || {
-                    serve_connection(stream, &service, shard_id, &responders);
+                    serve_connection(stream, &shard, shard_id, &responders);
                 }));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -382,7 +369,7 @@ fn main() {
         if let Some(b) = &bundle {
             if last_sample.elapsed() >= Duration::from_secs(1) {
                 last_sample = std::time::Instant::now();
-                b.stats_sample("periodic", &service.stats().to_json());
+                b.stats_sample("periodic", &shard.service().stats().to_json());
             }
         }
     }
@@ -392,12 +379,12 @@ fn main() {
     if let Some(b) = &bundle {
         b.stage("draining");
     }
-    service.drain();
+    shard.drain(Duration::ZERO);
     responders.wait_idle(Duration::from_secs(30));
     if let ShardAddr::Unix(path) = &actual {
         let _ = std::fs::remove_file(path);
     }
-    let exit_stats = service.stats().to_json();
+    let exit_stats = shard.service().stats().to_json();
     // the same snapshot lands in the bundle's stats.json (the scripts'
     // source of truth) and on stderr (human logs)
     if let Some(b) = &bundle {

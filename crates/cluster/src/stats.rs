@@ -24,8 +24,8 @@ pub struct ShardStats {
     pub serve: ServeStats,
 }
 
-/// Remote-fleet failure-handling counters (all zero for the in-process
-/// [`ShardRouter`](crate::ShardRouter), which cannot lose a shard).
+/// Failure-handling counters (zero while every shard stays healthy, as
+/// in-process shards always do).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FleetStats {
     /// Shards currently off the ring (evicted and not yet rejoined).
@@ -57,13 +57,13 @@ pub struct ClusterStats {
     pub routed_home: u64,
     /// Requests spilled to another shard (home full or over budget).
     pub spilled: u64,
-    /// Requests refused outright (every shard over its cost budget).
+    /// Requests refused outright (every live shard full or over budget).
     pub rejected: u64,
     /// Every autoscaler decision, in order.
     pub scale_events: Vec<ScaleEvent>,
     /// Cost-model accuracy (predicted vs. actual).
     pub cost: CostStats,
-    /// Remote-fleet failure-handling counters.
+    /// Failure-handling counters.
     pub fleet: FleetStats,
 }
 

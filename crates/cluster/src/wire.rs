@@ -36,8 +36,16 @@ pub const VERSION: u8 = 1;
 /// prefix, not a legitimate message).
 pub const MAX_FRAME_BYTES: u64 = 1 << 28;
 
+/// Largest up-front payload allocation in [`read_frame`]; longer frames
+/// grow the buffer as their bytes arrive.
+const FRAME_CHUNK: u64 = 64 * 1024;
+
 /// Longest scene name / error string on the wire.
 const MAX_STRING: u64 = 4096;
+
+/// Largest worker pool a [`Message::SetWorkers`] may ask a shard for —
+/// each worker is an OS thread, so a peer must not pick the count freely.
+pub const MAX_WORKERS: u64 = 1024;
 
 /// Deadline bound, microseconds (the trace codec's millisecond bound).
 const MAX_DEADLINE_US: u64 = MAX_DEADLINE_MS * 1000;
@@ -425,7 +433,7 @@ impl WireResult {
 
 /// A shard's statistics snapshot on the wire: the full [`ServeStats`]
 /// plus the live pool/queue state a router needs for placement.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WireStats {
     /// Worker-pool target size.
     pub workers: u64,
@@ -628,6 +636,20 @@ pub enum Message {
         /// Correlation id of the drain request.
         id: u64,
     },
+    /// Resize the shard's worker pool (the router's autoscaler).
+    SetWorkers {
+        /// Correlation id.
+        id: u64,
+        /// The new worker-pool target.
+        workers: u64,
+    },
+    /// The worker pool was resized.
+    WorkersSet {
+        /// Correlation id of the resize.
+        id: u64,
+        /// The worker-pool target before the resize.
+        previous: u64,
+    },
 }
 
 impl Message {
@@ -649,7 +671,9 @@ impl Message {
             | Message::Prewarm { id, .. }
             | Message::Warmed { id, .. }
             | Message::Drain { id }
-            | Message::Draining { id } => Some(*id),
+            | Message::Draining { id }
+            | Message::SetWorkers { id, .. }
+            | Message::WorkersSet { id, .. } => Some(*id),
         }
     }
 
@@ -731,6 +755,16 @@ impl Message {
                 out.push(15);
                 push_varint(&mut out, *id);
             }
+            Message::SetWorkers { id, workers } => {
+                out.push(16);
+                push_varint(&mut out, *id);
+                push_varint(&mut out, *workers);
+            }
+            Message::WorkersSet { id, previous } => {
+                out.push(17);
+                push_varint(&mut out, *id);
+                push_varint(&mut out, *previous);
+            }
         }
         out
     }
@@ -789,6 +823,14 @@ impl Message {
                 }
                 14 => Message::Drain { id: r.varint()? },
                 15 => Message::Draining { id: r.varint()? },
+                16 => {
+                    let id = r.varint()?;
+                    Message::SetWorkers { id, workers: r.bounded("workers", MAX_WORKERS)? }
+                }
+                17 => {
+                    let id = r.varint()?;
+                    Message::WorkersSet { id, previous: r.varint()? }
+                }
                 t => return Err(format!("unknown message tag {t}")),
             })
         })()
@@ -848,8 +890,16 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Message>, String> {
     if len > MAX_FRAME_BYTES {
         return Err(ctx(format!("frame of {len} bytes exceeds the {MAX_FRAME_BYTES} limit")));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload).map_err(|e| ctx(e.to_string()))?;
+    // grow the buffer as bytes arrive: a peer pays for the memory it makes
+    // this side hold, whatever length it claims
+    let mut payload = Vec::with_capacity(len.min(FRAME_CHUNK) as usize);
+    r.take(len).read_to_end(&mut payload).map_err(|e| ctx(e.to_string()))?;
+    if payload.len() as u64 != len {
+        return Err(ctx(format!(
+            "unexpected end of stream after {} of {len} payload bytes",
+            payload.len()
+        )));
+    }
     Message::decode(&payload).map(Some)
 }
 
@@ -929,6 +979,8 @@ mod tests {
             Message::Warmed { id: 12, ok: true },
             Message::Drain { id: 13 },
             Message::Draining { id: 13 },
+            Message::SetWorkers { id: 14, workers: 3 },
+            Message::WorkersSet { id: 14, previous: 1 },
         ]
     }
 
@@ -1001,12 +1053,22 @@ mod tests {
         let overflow = [0xffu8; 10];
         let e = read_frame(&mut &overflow[..]).unwrap_err();
         assert!(e.contains("overflows"), "{e}");
+        // a prefix claiming the largest legal frame, then EOF: a named error
+        // after reading nothing, not a 256 MiB zero-filled buffer
+        let mut buf = Vec::new();
+        push_varint(&mut buf, MAX_FRAME_BYTES);
+        let e = read_frame(&mut &buf[..]).unwrap_err();
+        assert!(e.starts_with("wire frame: ") && e.contains("end of stream"), "{e}");
     }
 
     #[test]
     fn bad_payload_fields_are_named_errors() {
         // unknown tag
         assert!(Message::decode(&[200]).unwrap_err().contains("unknown message tag"));
+        // a worker count past the bound
+        let e = Message::decode(&Message::SetWorkers { id: 1, workers: MAX_WORKERS + 1 }.encode())
+            .unwrap_err();
+        assert!(e.contains("workers"), "{e}");
         // trailing bytes
         let mut bytes = Message::Cancel { id: 1 }.encode();
         bytes.push(0);

@@ -6,7 +6,7 @@
 //! models, so no test pays for a real fit; admission tests run against a
 //! **paused** cluster so routing decisions cannot race completions.
 
-use asdr_cluster::{AutoscalerConfig, ClusterError, ShardRouter};
+use asdr_cluster::{AutoscalerConfig, FleetConfig, FleetError, LocalFleet};
 use asdr_math::{Aabb, Vec3};
 use asdr_nerf::embedding::EmbeddingSet;
 use asdr_nerf::grid::GridConfig;
@@ -15,8 +15,10 @@ use asdr_nerf::model::{COLOR_IN_DIM, DENSITY_OUT_DIM};
 use asdr_nerf::occupancy::OccupancyGrid;
 use asdr_nerf::{HashEncoder, NgpModel};
 use asdr_scenes::registry;
-use asdr_serve::{ModelStore, RenderProfile, RenderRequest};
-use std::path::PathBuf;
+use asdr_serve::service::RenderServiceBuilder;
+use asdr_serve::{ModelStore, RenderProfile, RenderRequest, RenderService};
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn test_grid() -> GridConfig {
@@ -25,6 +27,13 @@ fn test_grid() -> GridConfig {
 
 fn test_profile() -> RenderProfile {
     RenderProfile { grid: test_grid(), base_ns: 16, default_resolution: 16 }
+}
+
+/// One shard's service: a single worker over its own store in `dir`.
+fn shard_service(dir: &Path) -> RenderServiceBuilder {
+    RenderService::builder(test_profile())
+        .store(Arc::new(ModelStore::builder().dir(dir).build()))
+        .workers(1)
 }
 
 /// A cheap structurally-valid model (the scheduler does not care what the
@@ -55,13 +64,12 @@ fn warm_dir(name: &str, scenes: &[&str]) -> PathBuf {
 #[test]
 fn admission_goes_home_then_spills_then_rejects() {
     let dir = warm_dir("admission", &["Mic"]);
-    let cluster = ShardRouter::builder(test_profile())
-        .shards(2)
-        .store_dir(&dir)
-        .budget_ms(100.0)
-        .paused()
-        .build()
-        .unwrap();
+    let cluster = LocalFleet::local(
+        2,
+        || shard_service(&dir).paused(),
+        FleetConfig { budget_ms: 100.0, ..FleetConfig::local() },
+    )
+    .unwrap();
     // teach the cost model that a Mic frame is enormous, so one request
     // saturates a shard's budget deterministically
     cluster.cost_model().observe("Mic", 16, 1, 60_000.0);
@@ -77,7 +85,7 @@ fn admission_goes_home_then_spills_then_rejects() {
 
     let third = cluster.submit(RenderRequest::frame(mic.clone(), 16));
     match third {
-        Err(ClusterError::Overloaded { predicted_ms, budget_ms }) => {
+        Err(FleetError::Busy { predicted_ms, budget_ms }) => {
             assert!(predicted_ms > budget_ms);
         }
         other => panic!("expected Overloaded, got {other:?}"),
@@ -104,18 +112,21 @@ fn admission_goes_home_then_spills_then_rejects() {
 #[test]
 fn autoscaler_grows_under_misses_and_shrinks_when_quiet() {
     let dir = warm_dir("autoscale", &["Mic"]);
-    let cluster = ShardRouter::builder(test_profile())
-        .shards(1)
-        .store_dir(&dir)
-        .autoscale(AutoscalerConfig {
-            workers_min: 1,
-            workers_max: 3,
-            interval: Duration::from_millis(40),
-            cooldown_intervals: 1,
-            ..AutoscalerConfig::default()
-        })
-        .build()
-        .unwrap();
+    let cluster = LocalFleet::local(
+        1,
+        || shard_service(&dir),
+        FleetConfig {
+            autoscale: Some(AutoscalerConfig {
+                workers_min: 1,
+                workers_max: 3,
+                interval: Duration::from_millis(40),
+                cooldown_intervals: 1,
+                ..AutoscalerConfig::default()
+            }),
+            ..FleetConfig::local()
+        },
+    )
+    .unwrap();
     assert_eq!(cluster.shard_workers(0), 1, "autoscaled shards start at workers_min");
 
     // hopeless deadlines: every request misses, the miss-rate window
@@ -161,12 +172,17 @@ fn failed_requests_release_their_budget_reservation() {
     if registry::get("cluster-panics").is_none() {
         registry::register(SceneDef::new("cluster-panics", || panic!("builder exploded"))).unwrap();
     }
-    let cluster = ShardRouter::builder(test_profile())
-        .shards(2)
-        .in_memory_stores()
-        .budget_ms(50_000.0)
-        .build()
-        .unwrap();
+    let in_memory = || {
+        RenderService::builder(test_profile())
+            .store(Arc::new(ModelStore::builder().in_memory_only().build()))
+            .workers(1)
+    };
+    let cluster = LocalFleet::local(
+        2,
+        in_memory,
+        FleetConfig { budget_ms: 50_000.0, ..FleetConfig::local() },
+    )
+    .unwrap();
     let doomed =
         cluster.submit(RenderRequest::frame(registry::handle("cluster-panics"), 16)).unwrap();
     assert!(doomed.wait().is_err(), "the panicking fit fails the ticket");

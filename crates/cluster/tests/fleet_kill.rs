@@ -15,7 +15,7 @@
 //! (the `cluster_sched.rs` idiom), so no process pays for a real fit —
 //! the test exercises the fleet machinery, not the renderer.
 
-use asdr_cluster::{FleetConfig, RemoteFleet, ShardAddr, ShardRouter};
+use asdr_cluster::{FleetConfig, LocalFleet, RemoteFleet, ShardAddr};
 use asdr_math::{Aabb, Image, Vec3};
 use asdr_nerf::embedding::EmbeddingSet;
 use asdr_nerf::grid::GridConfig;
@@ -24,9 +24,10 @@ use asdr_nerf::model::{COLOR_IN_DIM, DENSITY_OUT_DIM};
 use asdr_nerf::occupancy::OccupancyGrid;
 use asdr_nerf::{HashEncoder, NgpModel};
 use asdr_scenes::registry;
-use asdr_serve::{ModelStore, RenderProfile, RenderRequest};
+use asdr_serve::{ModelStore, RenderProfile, RenderRequest, RenderService};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const SCENES: [&str; 3] = ["Mic", "Lego", "Pulse"];
@@ -122,8 +123,12 @@ fn killing_a_shard_mid_workload_loses_no_requests_and_no_bytes() {
 
     // Reference: the same requests through one in-process service.
     let reference: Vec<Vec<u32>> = {
-        let single =
-            ShardRouter::builder(RenderProfile::tiny()).shards(1).store_dir(&dir).build().unwrap();
+        let service = || {
+            RenderService::builder(RenderProfile::tiny())
+                .store(Arc::new(ModelStore::builder().dir(&dir).build()))
+                .workers(1)
+        };
+        let single = LocalFleet::local(1, service, FleetConfig::local()).unwrap();
         let frames = requests()
             .into_iter()
             .map(|req| {

@@ -263,9 +263,16 @@ impl RenderTicket {
         state.as_ref().expect("loop exits only when filled").clone()
     }
 
-    /// The outcome, if the request has already completed or failed.
-    pub fn try_result(&self) -> Option<Result<Arc<RenderResult>, ServeError>> {
-        self.inner.state.lock().unwrap().clone()
+    /// Waits up to `timeout` for the outcome; `None` while the request is
+    /// still pending.
+    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<Arc<RenderResult>, ServeError>> {
+        let deadline = Instant::now() + timeout;
+        let mut state = self.inner.state.lock().unwrap();
+        while state.is_none() {
+            let left = deadline.checked_duration_since(Instant::now())?;
+            state = self.inner.cond.wait_timeout(state, left).unwrap().0;
+        }
+        state.clone()
     }
 
     fn fill(&self, result: Result<RenderResult, ServeError>) {
@@ -386,7 +393,7 @@ impl StatsAccum {
 }
 
 /// Aggregate service metrics; snapshot with [`RenderService::stats`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeStats {
     /// Requests completed.
     pub requests: u64,

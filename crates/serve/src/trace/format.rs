@@ -247,6 +247,14 @@ impl<'a> Reader<'a> {
         }
         Ok(v)
     }
+
+    /// A count of table entries that each take at least 2 bytes, bounded by
+    /// both `max` and the bytes left — so a tiny hostile header can never
+    /// size an allocation beyond the input.
+    fn entry_count(&mut self, what: &str, max: u64) -> Result<u64, String> {
+        let left = (self.bytes.len() - self.pos) as u64 / 2;
+        self.bounded(what, max.min(left)).map_err(|e| format!("{e} (count exceeds file size)"))
+    }
 }
 
 /// Decodes a trace.
@@ -271,7 +279,7 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedTrace, String> {
     if flags & !FLAG_PLAN != 0 {
         return Err(header(format!("unknown flags {flags:#04x}")));
     }
-    let scene_count = r.bounded("scene count", 1 << 20).map_err(&header)?;
+    let scene_count = r.entry_count("scene count", 1 << 20).map_err(&header)?;
     let mut scenes = Vec::with_capacity(scene_count as usize);
     for i in 0..scene_count {
         let len = r.bounded("scene name length", 4096).map_err(&header)?;
@@ -289,7 +297,7 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedTrace, String> {
             return Err(header("plan window_ms must be >= 1".into()));
         }
         let total_windows = r.bounded("plan total windows", 1 << 32).map_err(&header)?;
-        let picks = r.bounded("plan pick count", total_windows).map_err(&header)?;
+        let picks = r.entry_count("plan pick count", total_windows).map_err(&header)?;
         let mut out = Vec::with_capacity(picks as usize);
         for _ in 0..picks {
             let start_ms = r.bounded("plan window start", MAX_AT_MS).map_err(&header)?;
@@ -520,6 +528,25 @@ mod tests {
         ] {
             let err = decode(&bytes).unwrap_err();
             assert!(err.starts_with("trace header:"), "{why}: {err}");
+        }
+    }
+
+    #[test]
+    fn hostile_table_counts_are_header_errors_not_allocations() {
+        // a ~20-byte header claiming 2^32 plan picks (and, separately, 2^20
+        // scenes) must fail by name instead of pre-sizing gigabytes
+        let mut picks = MAGIC.to_vec();
+        picks.extend([VERSION, FLAG_PLAN, 0]); // no scenes
+        for v in [1, 1 << 32, 1 << 32] {
+            push_varint(&mut picks, v); // window_ms, total windows, pick count
+        }
+        let mut scenes = MAGIC.to_vec();
+        scenes.extend([VERSION, 0]);
+        push_varint(&mut scenes, 1 << 20);
+        for bytes in [picks, scenes] {
+            let err = decode(&bytes).unwrap_err();
+            assert!(err.starts_with("trace header:"), "{err}");
+            assert!(err.contains("exceeds file size"), "{err}");
         }
     }
 

@@ -24,6 +24,7 @@ clippy:
 # and examples can never silently rot.
 check-extras:
     cargo build --workspace --benches --examples
+    cargo build --release --manifest-path perfbench/Cargo.toml
 
 # A fast taste of the wall-clock benchmarks (the compat criterion shim keeps
 # each one to a few seconds).

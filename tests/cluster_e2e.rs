@@ -1,11 +1,11 @@
 //! Cluster acceptance: the same mixed workload through (a) one
-//! `RenderService` and (b) a 3-shard `ShardRouter` produces **byte-identical
+//! `RenderService` and (b) a 3-shard `LocalFleet` produces **byte-identical
 //! images** — sharding is a pure scale-out decision, never a quality one.
 //! The two runs share one checkpoint directory, so the test also pins the
 //! multi-store topology: the single service fits each scene once (cold),
 //! and every cluster shard warms from those checkpoints (zero fits).
 
-use asdr::cluster::ShardRouter;
+use asdr::cluster::{FleetConfig, LocalFleet};
 use asdr::math::Image;
 use asdr::scenes::registry;
 use asdr::serve::{ModelStore, Priority, RenderProfile, RenderRequest, RenderService};
@@ -54,8 +54,12 @@ fn a_sharded_cluster_renders_byte_identical_to_one_service() {
     assert_eq!(single.store.fits, 3, "the cold reference run fits each scene once");
 
     // (b) the same workload over 3 shards sharing that checkpoint dir
-    let cluster =
-        ShardRouter::builder(RenderProfile::tiny()).shards(3).store_dir(&dir).build().unwrap();
+    let shard = || {
+        RenderService::builder(RenderProfile::tiny())
+            .store(Arc::new(ModelStore::builder().dir(&dir).build()))
+            .workers(1)
+    };
+    let cluster = LocalFleet::local(3, shard, FleetConfig::local()).unwrap();
     let tickets: Vec<_> = workload().into_iter().map(|r| cluster.submit(r).unwrap()).collect();
     let shards_used: Vec<usize> = tickets.iter().map(|t| t.shard()).collect();
     let sharded: Vec<Vec<Image>> =
